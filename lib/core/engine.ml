@@ -7,10 +7,12 @@
     differing only in backend:
     - {b naive} rebuilds the simulator whenever pristine state is needed
       (the paper's baseline cost model);
-    - {b pooled} boots one simulator per engine, checkpoints the post-boot
-      state and rewinds per test case — the warm-state reuse behind the
-      paper's 10–100× executor speedup.  Trace-for-trace identical to
-      naive by construction. *)
+    - {b pooled} builds one simulator per engine and rewinds it to the
+      post-boot checkpoint per test case — the warm-state reuse behind the
+      paper's 10–100× executor speedup.  The checkpoint comes from the
+      executor's process-wide boot table, so the warm boot runs once per
+      simulator configuration per process, not once per engine.
+      Trace-for-trace identical to naive by construction. *)
 
 open Amulet_isa
 open Amulet_uarch
@@ -22,7 +24,14 @@ let kind_name = function Naive -> "naive" | Pooled -> "pooled"
 
 type stats = {
   engine : string;
-  sims_created : int;  (** full simulator builds (warm boots) paid *)
+  sims_created : int;
+      (** simulators built: one per rebuild under naive; one per engine
+          under pooled, booted or restored from the process-wide boot table
+          (see {!Executor}) *)
+  boots : int;
+      (** warm-boot workloads actually run: [sims_created] under naive; at
+          most 1 under pooled, and 0 when an earlier engine of the same
+          configuration in the process already booted it *)
   snapshot_restores : int;  (** checkpoint rewinds performed instead *)
   batches : int;
   inputs_run : int;  (** inputs executed through {!run_batch} *)
@@ -131,6 +140,7 @@ end) : S = struct
     {
       engine = B.name;
       sims_created = Executor.sims_created t.ex;
+      boots = Executor.boots t.ex;
       snapshot_restores = Executor.restores t.ex;
       batches = t.batches;
       inputs_run = t.inputs_run;

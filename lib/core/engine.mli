@@ -13,7 +13,14 @@ val kind_name : kind -> string
 
 type stats = {
   engine : string;
-  sims_created : int;  (** full simulator builds (warm boots) paid *)
+  sims_created : int;
+      (** simulators built: one per rebuild under naive; one per engine
+          under pooled, booted or restored from the process-wide boot table
+          (see {!Executor}) *)
+  boots : int;
+      (** warm-boot workloads actually run: [sims_created] under naive; at
+          most 1 under pooled, and 0 when an earlier engine of the same
+          configuration in the process already booted it *)
   snapshot_restores : int;  (** checkpoint rewinds performed instead *)
   batches : int;
   inputs_run : int;  (** inputs executed through {!run_batch} *)

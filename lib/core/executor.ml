@@ -17,11 +17,17 @@
     {b Backend} fixes the {e implementation strategy} for reaching that
     state and is trace-invisible:
     - [Rebuild] reconstructs the simulator (paying the full startup cost,
-      including the synthetic warm boot) whenever pristine state is needed;
-    - [Pool] builds the simulator once, checkpoints the post-boot state
-      with {!Simulator.snapshot}, and rewinds with {!Simulator.restore} —
-      the pooled engine's warm-state reuse, byte-identical to [Rebuild]
-      because the checkpoint captures exactly what a fresh boot produces. *)
+      including the synthetic warm boot) whenever pristine state is needed
+      — the paper's Naive cost model;
+    - [Pool] builds the simulator once and rewinds it to its post-boot
+      checkpoint with {!Simulator.restore} — the pooled engine's warm-state
+      reuse, byte-identical to [Rebuild] because the checkpoint captures
+      exactly what a fresh boot produces.  The checkpoint comes from a
+      process-wide boot table keyed by (simulator configuration, sandbox
+      pages, boot length): only the first pooled executor of a key runs the
+      warm boot; every later one, in any domain (classification, triage and
+      sweep executors included), builds an unbooted simulator and restores
+      the stored checkpoint. *)
 
 open Amulet_uarch
 open Amulet_defenses
@@ -47,6 +53,7 @@ type t = {
   mutable sim : Simulator.t option;
   mutable boot_snapshot : Simulator.snapshot option;
   mutable sims_created : int;
+  mutable boots : int;
   mutable restores : int;
   mutable decode_base : int;
       (* decodes performed by simulators already discarded, so {!decodes}
@@ -91,6 +98,7 @@ let create ?(boot_insts = Simulator.default_boot_insts) ?(format = Utrace.L1d_tl
     sim = None;
     boot_snapshot = None;
     sims_created = 0;
+    boots = 0;
     restores = 0;
     decode_base = 0;
     m_rebuilds = Obs.counter metrics "engine.sim.rebuilds";
@@ -103,6 +111,7 @@ let create ?(boot_insts = Simulator.default_boot_insts) ?(format = Utrace.L1d_tl
 let mode t = t.mode
 let backend t = t.backend
 let sims_created t = t.sims_created
+let boots t = t.boots
 let restores t = t.restores
 
 let decodes t =
@@ -117,19 +126,53 @@ let retire_sim t =
       t.sim <- None
   | None -> ()
 
-let fresh_simulator t =
+(* Build a simulator: warm-booted, or ([from]) unbooted and rewound to a
+   post-boot checkpoint of the same key, which leaves the same state. *)
+let fresh_simulator ?from t =
   retire_sim t;
   t.sims_created <- t.sims_created + 1;
+  if from = None then t.boots <- t.boots + 1;
   Obs.incr t.m_rebuilds;
   Stats.time t.stats Stats.Sim_startup (fun () ->
       Obs.time t.m_rebuild_time (fun () ->
-          Simulator.create ~metrics:(Stats.registry t.stats)
-            ~boot_insts:t.boot_insts ~pages:t.defense.Defense.sandbox_pages
-            t.sim_config))
+          let boot_insts = if from = None then t.boot_insts else 0 in
+          let sim =
+            Simulator.create ~metrics:(Stats.registry t.stats) ~boot_insts
+              ~pages:t.defense.Defense.sandbox_pages t.sim_config
+          in
+          Option.iter (Simulator.restore sim) from;
+          sim))
 
-(* Rewind the pool simulator to its post-boot checkpoint (building it, and
-   the checkpoint, on first use).  Equivalent to [fresh_simulator] without
-   re-running the boot workload. *)
+(* The process-wide boot table of the [Pool] backend.  A boot ends by
+   flushing the caches and resetting the predictors and architectural
+   state, so its checkpoint is a pure function of the key.  Entries are
+   never mutated after insertion ({!Simulator.restore} copies out of them),
+   so executors in different domains share them freely; the lock covers
+   lookup and the first boot of a key, so concurrent first users of a key
+   wait for one boot instead of each running their own.  Entries live as
+   long as the process: one per configuration ever pooled, each about the
+   size of one sandbox. *)
+let boot_table : (Config.t * int * int, Simulator.snapshot) Hashtbl.t =
+  Hashtbl.create 8
+
+let boot_table_lock = Mutex.create ()
+
+(* The key's checkpoint, booting a simulator for it on a miss (returned so
+   the first user keeps it instead of building another). *)
+let boot_entry t =
+  let key = (t.sim_config, t.defense.Defense.sandbox_pages, t.boot_insts) in
+  Mutex.protect boot_table_lock (fun () ->
+      match Hashtbl.find_opt boot_table key with
+      | Some snap -> (None, snap)
+      | None ->
+          let sim = fresh_simulator t in
+          let snap = Simulator.snapshot sim in
+          Hashtbl.add boot_table key snap;
+          (Some sim, snap))
+
+(* Rewind the pool simulator to its post-boot checkpoint (building it on
+   first use, from the boot table).  Equivalent to [fresh_simulator]
+   without re-running the boot workload. *)
 let pooled_sim t =
   match t.sim, t.boot_snapshot with
   | Some sim, Some snap ->
@@ -140,9 +183,13 @@ let pooled_sim t =
       Obs.set_gauge t.m_reuse_depth (float_of_int t.restores);
       sim
   | _ ->
-      let sim = fresh_simulator t in
+      let sim, snap =
+        match boot_entry t with
+        | Some sim, snap -> (sim, snap)
+        | None, snap -> (fresh_simulator ~from:snap t, snap)
+      in
       t.sim <- Some sim;
-      t.boot_snapshot <- Some (Simulator.snapshot sim);
+      t.boot_snapshot <- Some snap;
       sim
 
 (** Begin a new test program.  This is where [Opt] mode pays for pristine
@@ -168,8 +215,9 @@ let get_sim t =
           t.sim <- Some s;
           s)
 
-(** Pre-build the pooled simulator and its checkpoint so the first test case
-    doesn't pay the boot cost ([Rebuild]: no-op). *)
+(** Pre-build the pooled simulator (booting it only if the boot table has no
+    checkpoint for its key yet) so the first test case doesn't pay for it
+    ([Rebuild]: no-op). *)
 let warm t = match t.backend with Pool -> ignore (get_sim t) | Rebuild -> ()
 
 let extract_trace t sim =

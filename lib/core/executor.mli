@@ -8,8 +8,13 @@
 
     {b Backend} fixes the trace-invisible implementation strategy:
     [Rebuild] reconstructs the simulator (full warm-boot cost) whenever
-    pristine state is needed; [Pool] checkpoints the post-boot state once
-    and rewinds it with {!Amulet_uarch.Simulator.restore}. *)
+    pristine state is needed — the paper's Naive cost model; [Pool] builds
+    one simulator and rewinds it to its post-boot checkpoint with
+    {!Amulet_uarch.Simulator.restore}.  [Pool] checkpoints come from a
+    process-wide, lock-guarded boot table keyed by (simulator configuration,
+    sandbox pages, boot length): the first pooled executor of a key boots,
+    every later one restores the stored checkpoint into an unbooted
+    simulator. *)
 
 open Amulet_isa
 open Amulet_uarch
@@ -64,8 +69,9 @@ val start_program : t -> unit
     rebuild or a checkpoint rewind, per the backend). *)
 
 val warm : t -> unit
-(** Pre-build the pooled simulator and its post-boot checkpoint so the
-    first test case doesn't pay the boot cost ([Rebuild]: no-op). *)
+(** Pre-build the pooled simulator (booting only when the boot table has no
+    checkpoint for its key yet) so the first test case doesn't pay for it
+    ([Rebuild]: no-op). *)
 
 val run :
   t -> ?context:Simulator.context -> ?log:bool -> Program.flat -> Input.t ->
@@ -76,7 +82,13 @@ val run :
     [false]) enables the debug event log and fills [outcome.events]. *)
 
 val sims_created : t -> int
-(** Simulators built (and warm-booted) over this executor's lifetime. *)
+(** Simulators built over this executor's lifetime, booted or restored
+    from the boot table. *)
+
+val boots : t -> int
+(** Warm-boot workloads run over this executor's lifetime: one per
+    simulator under [Rebuild]; under [Pool], 1 if this executor was the
+    first of its key in the process, else 0. *)
 
 val restores : t -> int
 (** Checkpoint rewinds performed instead of rebuilds ([Pool] backend). *)

@@ -13,9 +13,9 @@ open Amulet_contracts
 (** How the executor initializes the cache state before each input. *)
 type priming =
   | Fill_sets
-      (** run [sets x ways] out-of-sandbox loads through the pipeline so
-          every L1D set starts full (InvisiSpec, STT) — makes evictions
-          visible but costs simulated instructions *)
+      (** load [sets x ways] out-of-sandbox lines so every L1D set starts
+          full (InvisiSpec, STT) — makes evictions visible; the fill is
+          installed directly, at no simulated-instruction cost *)
   | Flush
       (** invalidate caches via the simulator hook (CleanupSpec, SpecLFB) —
           fast, installs-only visibility *)

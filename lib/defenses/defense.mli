@@ -8,9 +8,9 @@ open Amulet_contracts
 
 type priming =
   | Fill_sets
-      (** fill every L1D set with out-of-sandbox lines through the pipeline
-          (InvisiSpec, STT): evictions become visible, at a simulated-
-          instruction cost *)
+      (** fill every L1D set with out-of-sandbox lines (InvisiSpec, STT):
+          evictions become visible.  The fill's effect is installed
+          directly, see {!Amulet_uarch.Simulator.prime_with_fills} *)
   | Flush  (** invalidate via the simulator hook (CleanupSpec, SpecLFB) *)
 
 type t = {

@@ -554,6 +554,22 @@ let take_responses t ~now =
     List.rev_map (fun (_, rob, line) -> (rob, line)) due
   end
 
+(** The complete cache effect of one non-speculative demand load of [line]
+    that issues only after every older access has completed (a dependent
+    load chain), applied without simulating it: the L1D lookup, and on a
+    miss the L2 lookup, the MSHR allocation and the fill into L1D and L2.
+    It drives the same {!Cache} calls in the same order as the queue and
+    MSHR path ([process_head], [allocate_mshr], [complete_mshr]), so tag
+    and replacement state end up identical.  Not valid with the next-line
+    prefetcher, whose prefetches interleave with the fills by timing. *)
+let demand_fill t line =
+  if not (Cache.touch t.l1d line) then begin
+    ignore (Cache.touch t.l2 line);
+    Amulet_obs.Obs.incr t.m_mshr_allocs;
+    ignore (Cache.install t.l1d line);
+    ignore (Cache.install t.l2 line)
+  end
+
 (* ------------------------------------------------------------------ *)
 (* TLB and instruction fetch                                           *)
 (* ------------------------------------------------------------------ *)

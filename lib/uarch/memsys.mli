@@ -45,6 +45,13 @@ val tick : t -> now:int -> unit
 val take_responses : t -> now:int -> (int * int) list
 (** Responses due at or before [now]: list of (rob_id, line). *)
 
+val demand_fill : t -> int -> unit
+(** [demand_fill t line] applies, without simulating it, the whole cache
+    effect of a non-speculative demand load of [line] issued after every
+    older access has completed: L1D lookup, and on a miss L2 lookup, one
+    MSHR allocation and the fill into L1D and L2.  Records no events and no
+    access order.  Invalid with the next-line prefetcher. *)
+
 val tlb_access : t -> now:int -> addr:int -> tainted:bool -> by_store:bool -> unit
 
 val l1d_has_line : t -> int -> bool

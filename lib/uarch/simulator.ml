@@ -237,32 +237,36 @@ let run t (flat : Program.flat) : run_stats = run_flat t flat
     mapping onto the same L1 sets. *)
 let prime_base = 0x10_0000
 
+(* The fill load for [way] of [set]: each way gets its own 4 KiB region, so
+   a set receives [l1d_ways] distinct tags. *)
+let prime_addr (cfg : Config.t) ~way ~set =
+  prime_base + (way * 0x1000) + (set * cfg.line_bytes)
+
 (** A program of plain loads that fills every L1D set with
     [ways]-per-set addresses from outside the sandbox (paper §3.2, C2:
     starting from fully-occupied sets makes both installs and evictions
-    visible).  It costs [sets * ways] instructions, which is exactly the
-    Opt executor's per-input simulation overhead the paper describes. *)
+    visible).  Each load is [mov r15, [r15 + addr]]: with R15 zeroed and
+    out-of-sandbox reads returning zero, the chain loads exactly [addr],
+    one load after another.  It is the reference for the fill's effect;
+    {!prime_with_fills} normally installs that effect directly, without
+    simulating the program's [sets * ways] instructions. *)
 let prime_program (cfg : Config.t) =
   let body = ref [] in
   for way = cfg.l1d_ways - 1 downto 0 do
     for set = cfg.l1d_sets - 1 downto 0 do
-      let addr = prime_base + (way * 0x1000) + (set * cfg.line_bytes) in
       body :=
         Inst.Mov
-          (Width.W64, Operand.Reg Reg.R15, Operand.mem ~disp:addr Reg.R15)
+          ( Width.W64,
+            Operand.Reg Reg.R15,
+            Operand.mem ~disp:(prime_addr cfg ~way ~set) Reg.R15 )
         :: !body
     done
   done;
   Program.flatten (Program.make [ { Program.label = "prime"; body = !body } ])
 
-(** Prime the L1D by running the fill program through the pipeline (the
-    realistic path: it costs simulated instructions).  R15 is zeroed for
-    absolute addressing and the TLB/L1I are reset afterwards via simulator
-    hooks, as the real harness does. *)
 (* The prime program is a pure function of the config: build and decode it
    once per simulator.  It keeps its own cache slot so that alternating
-   prime/test runs (the Opt executor primes before every input) don't thrash
-   the single-entry test-program slot. *)
+   prime/test runs don't thrash the single-entry test-program slot. *)
 let prime_decoded t =
   match t.prime_dec with
   | Some d -> d
@@ -274,7 +278,11 @@ let prime_decoded t =
       note_decode t;
       d
 
-let prime_with_fills t =
+(** The reference prime: run the fill program through the pipeline (it
+    costs simulated instructions).  R15 is zeroed for absolute addressing
+    and the TLB/L1I are reset afterwards via simulator hooks, as the real
+    harness does. *)
+let prime_with_fills_simulated t =
   let saved_r15 = State.read_reg t.arch Reg.R15 in
   State.write_reg t.arch Reg.R15 0L;
   let stats =
@@ -287,6 +295,51 @@ let prime_with_fills t =
   Memsys.reset_tlb t.ms;
   Memsys.reset_l1i t.ms;
   stats
+
+(* Does some fill load read sandbox memory?  Then it may load a nonzero
+   value, and the chain's later addresses depend on the input. *)
+let fill_reads_sandbox t =
+  let cfg = t.cfg in
+  let mem = t.arch.State.mem in
+  let fill_end =
+    prime_addr cfg ~way:(cfg.l1d_ways - 1) ~set:(cfg.l1d_sets - 1) + 8
+  in
+  Memory.base mem < fill_end && prime_base < Memory.limit mem
+
+let no_work =
+  {
+    cycles = 0;
+    committed_insts = 0;
+    squashes = 0;
+    squashed_insts = 0;
+    spec_issued = 0;
+    mispredicts = 0;
+    fault = None;
+  }
+
+(** Prime the L1D with the fill.  The fill has no stores and no branches,
+    so its loads are non-speculative and train no predictor; being a
+    dependent chain, they complete strictly one after another.  Their whole
+    effect is therefore {!Memsys.demand_fill} per line in program order,
+    which is installed directly here at no simulated cost (zero stats).
+    The simulated reference runs instead where that argument fails: the
+    legacy hot loop (kept faithful as the benchmark baseline), the
+    next-line prefetcher (prefetches interleave with the fills by timing)
+    and sandboxes that reach the fill region. *)
+let prime_with_fills t =
+  let cfg = t.cfg in
+  if cfg.Config.legacy_hot_loop || cfg.Config.nl_prefetcher || fill_reads_sandbox t
+  then prime_with_fills_simulated t
+  else begin
+    for way = 0 to cfg.l1d_ways - 1 do
+      for set = 0 to cfg.l1d_sets - 1 do
+        Memsys.demand_fill t.ms (Memsys.line_of t.ms (prime_addr cfg ~way ~set))
+      done
+    done;
+    Memsys.reset_tlb t.ms;
+    Memsys.reset_l1i t.ms;
+    no_work
+  end
 
 (** Prime by direct invalidation (the simulator hook used for CleanupSpec
     and SpecLFB in §3.5): clean caches, no simulated instructions. *)

@@ -6,8 +6,9 @@
     (structure allocation plus a synthetic warm-boot workload), standing in
     for gem5's multi-second process startup; executors amortize it by
     reusing one simulator across inputs (paper §3.2, C3) or — the pooled
-    engine — by checkpointing the post-boot state once with {!snapshot} and
-    rewinding with {!restore} instead of re-running the boot workload. *)
+    engine — by checkpointing the post-boot state once per configuration
+    with {!snapshot} and rewinding with {!restore} instead of re-running
+    the boot workload. *)
 
 open Amulet_isa
 open Amulet_emu
@@ -59,8 +60,19 @@ val prime_base : int
     mapping onto the same L1 sets. *)
 
 val prime_with_fills : t -> run_stats
-(** Prime the L1D by running a fill program through the pipeline (costs
-    simulated instructions; resets TLB/L1I afterwards). *)
+(** Prime the L1D with the fill, then reset the TLB and L1I.  The fill's
+    effect is installed directly, costing no simulated instructions, and
+    the returned stats are zero.  The legacy hot loop, the next-line
+    prefetcher and sandboxes that reach {!prime_base} take the simulated
+    reference instead ({!prime_with_fills_simulated}).  Either way the
+    resulting {!snapshot} is the same; only the access order and the debug
+    event log differ (the direct install records neither). *)
+
+val prime_with_fills_simulated : t -> run_stats
+(** The reference prime: run the fill program ([l1d_sets * l1d_ways]
+    dependent loads from outside the sandbox) through the pipeline (costs
+    simulated instructions, and counts in the [uarch.*] counters and
+    {!total_cycles}), then reset the TLB and L1I. *)
 
 val prime_with_flush : t -> unit
 (** Prime by direct invalidation (clean caches, no simulated work). *)
@@ -109,6 +121,7 @@ val runs : t -> int
 
 val decodes : t -> int
 (** Programs decoded into the shared {!Amulet_isa.Decoded} cache over this
-    simulator's lifetime (boot and prime programs included): with the cache
+    simulator's lifetime (the boot program and a simulated prime's fill
+    program included): with the cache
     working, this stays proportional to the number of distinct programs,
     not the number of inputs. *)

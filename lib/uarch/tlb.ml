@@ -88,8 +88,14 @@ let pages t =
   done;
   List.sort compare !acc
 
+(* Dead entries are zeroed too, not just invalidated: {!snapshot} copies
+   whole arrays, so stale page numbers and LRU stamps left behind would make
+   two TLBs in the same state snapshot unequal. *)
 let reset t =
-  Array.fill t.valid_a 0 (Array.length t.valid_a) false;
+  let n = Array.length t.valid_a in
+  Array.fill t.valid_a 0 n false;
+  Array.fill t.pages_a 0 n 0;
+  Array.fill t.lru_a 0 n 0;
   t.tick <- 0
 
 type snapshot = {

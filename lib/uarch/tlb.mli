@@ -17,6 +17,8 @@ val pages : t -> int list
 (** Cached page numbers, sorted. *)
 
 val reset : t -> unit
+(** Invalidate every entry and zero its page number and LRU stamp, so that
+    two TLBs in the same state have equal {!snapshot}s. *)
 
 type snapshot
 

@@ -226,6 +226,94 @@ let test_gc_steady_state () =
     true
     (per_input < 25_000.)
 
+(* ------------------------------------------------------------------ *)
+(* Prime identity: the direct fill install against the simulated fill  *)
+(* ------------------------------------------------------------------ *)
+
+module Simulator = Amulet_uarch.Simulator
+module Uconfig = Amulet_uarch.Config
+
+let fill_presets =
+  List.filter (fun (d : Defense.t) -> d.Defense.priming = Defense.Fill_sets)
+    Defense.all
+
+(* Two simulators side by side, one primed directly and the other through
+   the simulated reference before every input; the test programs in between
+   give each prime a fresh random pre-state.  Every prime, the first one
+   after boot included, must leave equal snapshots. *)
+let check_prime_identity ~what ~pages cfg ~seed =
+  let direct = Simulator.create ~boot_insts:100 ~pages cfg in
+  let reference = Simulator.create ~boot_insts:100 ~pages cfg in
+  let gcfg = { Generator.default with Generator.sandbox_pages = pages } in
+  let rng = Rng.create ~seed in
+  for p = 1 to 40 do
+    let flat = Generator.generate_flat ~cfg:gcfg rng in
+    for i = 1 to 3 do
+      let ctx = Printf.sprintf "%s: program %d input %d" what p i in
+      let input = Input.generate rng ~pages in
+      let sd = Simulator.prime_with_fills direct in
+      ignore (Simulator.prime_with_fills_simulated reference);
+      checki (ctx ^ ": direct prime simulates nothing") 0 sd.Simulator.cycles;
+      checkb (ctx ^ ": post-prime snapshots equal") true
+        (Simulator.snapshot direct = Simulator.snapshot reference);
+      let state = Input.to_state input in
+      Simulator.load_state direct state;
+      Simulator.load_state reference state;
+      let rd = Simulator.run direct flat in
+      let rr = Simulator.run reference flat in
+      checkb (ctx ^ ": run stats equal") true (rd = rr)
+    done
+  done
+
+let test_prime_identity () =
+  checki "every Fill_sets preset covered" 8 (List.length fill_presets);
+  List.iter
+    (fun (d : Defense.t) ->
+      List.iter
+        (fun (label, cfg) ->
+          check_prime_identity
+            ~what:(d.Defense.name ^ " " ^ label)
+            ~pages:d.Defense.sandbox_pages cfg ~seed:95)
+        [
+          ("default", Defense.config d);
+          ("amplified", Defense.config ~l1d_ways:2 ~mshrs:1 d);
+        ])
+    fill_presets
+
+(* Where the direct install would be wrong, [prime_with_fills] must run the
+   simulated reference (nonzero cycles) and still match it. *)
+let check_fallback ~what ~pages ?(setup = fun _ -> ()) cfg =
+  let primed = Simulator.create ~boot_insts:0 ~pages cfg in
+  let reference = Simulator.create ~boot_insts:0 ~pages cfg in
+  setup primed;
+  setup reference;
+  let s = Simulator.prime_with_fills primed in
+  ignore (Simulator.prime_with_fills_simulated reference);
+  checkb (what ^ ": simulated fill taken") true (s.Simulator.cycles > 0);
+  checkb (what ^ ": snapshots equal") true
+    (Simulator.snapshot primed = Simulator.snapshot reference)
+
+let test_prime_fallbacks () =
+  let base = Defense.config Defense.invisispec in
+  check_fallback ~what:"nl_prefetcher" ~pages:1
+    { base with Uconfig.nl_prefetcher = true };
+  (* a sandbox ending exactly at [prime_base] keeps the direct install *)
+  let below = Simulator.create ~boot_insts:0 ~pages:255 base in
+  checki "sandbox below prime_base: direct" 0
+    (Simulator.prime_with_fills below).Simulator.cycles;
+  (* one page more reaches it: the fill reads sandbox data, here nonzero so
+     that the chain's addresses move *)
+  let seed_region sim =
+    let mem = (Simulator.arch_state sim).Amulet_emu.State.mem in
+    for k = 0 to 63 do
+      Amulet_emu.Memory.write mem Amulet_isa.Width.W64
+        (Simulator.prime_base + (k * 64))
+        (Int64.of_int (0x40 * (k + 1)))
+    done
+  in
+  check_fallback ~what:"sandbox reaching prime_base" ~pages:256
+    ~setup:seed_region base
+
 let () =
   Alcotest.run "determinism"
     [
@@ -247,5 +335,11 @@ let () =
             test_ctrace_fast_slow;
           Alcotest.test_case "steady-state allocation bound" `Quick
             test_gc_steady_state;
+        ] );
+      ( "prime identity",
+        [
+          Alcotest.test_case "direct = simulated, fill presets" `Slow
+            test_prime_identity;
+          Alcotest.test_case "simulated fallbacks" `Quick test_prime_fallbacks;
         ] );
     ]

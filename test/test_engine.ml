@@ -239,6 +239,7 @@ let test_engine_stats () =
   let s = Engine.stats naive in
   checki "naive sims_created" 6 s.Engine.sims_created;
   checki "naive restores" 0 s.Engine.snapshot_restores;
+  checki "naive boots every rebuild" s.Engine.sims_created s.Engine.boots;
   (* warm pre-pays the pooled boot *)
   let warmed =
     Engine.create ~boot_insts:boot ~kind:Engine.Pooled ~mode:Executor.Naive defense
@@ -246,6 +247,83 @@ let test_engine_stats () =
   in
   Engine.warm warmed;
   checki "warm boots the pool" 1 (Engine.stats warmed).Engine.sims_created
+
+(* ------------------------------------------------------------------ *)
+(* The process-wide boot table                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Each test below uses a boot length no other test in this process uses,
+   so its first pooled executor is the first of its key. *)
+let table_cases defense = Array.init 3 (fun p -> gen_case ~defense (40 + p))
+
+let run_cases ex cases =
+  Array.map
+    (fun (flat, inputs) ->
+      Executor.start_program ex;
+      Array.map (fun input -> Executor.run ex flat input) inputs)
+    cases
+
+let outcomes_agree name a b =
+  Array.iteri
+    (fun p oa ->
+      Array.iteri
+        (fun i (xa : Executor.outcome) ->
+          let xb = b.(p).(i) in
+          let ctx = Printf.sprintf "%s: program %d input %d" name p i in
+          checkb (ctx ^ " utrace") true (Utrace.equal xa.Executor.trace xb.Executor.trace);
+          checki (ctx ^ " cycles") xa.Executor.cycles xb.Executor.cycles;
+          checkb (ctx ^ " sim_stats") true (xa.Executor.sim_stats = xb.Executor.sim_stats))
+        oa)
+    a
+
+let pooled ~boot_insts defense =
+  Executor.create ~boot_insts ~backend:Executor.Pool ~mode:Executor.Opt defense
+    (Stats.create ())
+
+let test_boot_table_restore () =
+  List.iter
+    (fun (defense : Defense.t) ->
+      let boot_insts = 211 in
+      let cases = table_cases defense in
+      let first = pooled ~boot_insts defense in
+      Executor.warm first;
+      checki "first pooled executor of a key boots" 1 (Executor.boots first);
+      let later = pooled ~boot_insts defense in
+      Executor.warm later;
+      checki "later one restores from the table" 0 (Executor.boots later);
+      checki "later one still builds its simulator" 1 (Executor.sims_created later);
+      let rebuilt =
+        Executor.create ~boot_insts ~backend:Executor.Rebuild ~mode:Executor.Opt
+          defense (Stats.create ())
+      in
+      let o_rebuilt = run_cases rebuilt cases in
+      checki "rebuild boots once per rebuild" (Array.length cases)
+        (Executor.boots rebuilt);
+      let o_later = run_cases later cases in
+      outcomes_agree (defense.Defense.name ^ " table vs booted pool") o_later
+        (run_cases first cases);
+      outcomes_agree (defense.Defense.name ^ " table vs rebuild") o_later
+        o_rebuilt)
+    [ Defense.invisispec; Defense.stt; Defense.speclfb ]
+
+let test_boot_table_domains () =
+  let defense = Defense.invisispec in
+  let boot_insts = 223 in
+  let cases = table_cases defense in
+  let worker () =
+    let ex = pooled ~boot_insts defense in
+    let o = run_cases ex cases in
+    (Executor.boots ex, o)
+  in
+  let d1 = Domain.spawn worker and d2 = Domain.spawn worker in
+  let b1, o1 = Domain.join d1 and b2, o2 = Domain.join d2 in
+  checki "one boot between the two domains" 1 (b1 + b2);
+  outcomes_agree "domain 1 vs domain 2" o1 o2;
+  let rebuilt =
+    Executor.create ~boot_insts ~backend:Executor.Rebuild ~mode:Executor.Opt
+      defense (Stats.create ())
+  in
+  outcomes_agree "domains vs rebuild" o1 (run_cases rebuilt cases)
 
 (* ------------------------------------------------------------------ *)
 
@@ -269,5 +347,10 @@ let () =
         [
           Alcotest.test_case "run variants" `Quick test_run_variants;
           Alcotest.test_case "engine stats" `Quick test_engine_stats;
+        ] );
+      ( "boot table",
+        [
+          Alcotest.test_case "restore = boot" `Quick test_boot_table_restore;
+          Alcotest.test_case "concurrent domains" `Quick test_boot_table_domains;
         ] );
     ]
